@@ -100,8 +100,8 @@ def test_sweep_engine_speedup_vs_seed(lib, bench_metrics):
         "engine_times_s": [round(t, 3) for t in engine_times],
         "engine_backend": engine.backend,
         "speedup": round(speedup, 2),
-        "warm_accepts": engine.profile.get("warm_accepts"),
-        "warm_fallbacks": engine.profile.get("warm_fallbacks"),
+        "ffwd_accepts": engine.profile.get("ffwd_accepts"),
+        "ffwd_rejects": engine.profile.get("ffwd_rejects"),
         "pickle_bytes": engine.profile.get("pickle_bytes"),
     })
 

@@ -25,6 +25,17 @@ process's appends to a private ``<name>.<pid>.shard`` sibling instead;
 loading always merges the base file with every sibling shard (results
 are content-addressed, so merge order cannot matter), and
 :meth:`ResultStore.compact` folds the shards back into the base file.
+
+Refreshes are incremental: the store remembers, per file, the byte
+offset just past the last complete line it parsed and reads only what
+was appended since.  A trailing partial line (a write in flight, or a
+writer killed mid-append) is left for a later refresh -- counted in
+``skipped_lines`` meanwhile, as a fresh load would count it.  A file
+that is not the one last read, grown in place, is re-read whole: one
+that shrank, was replaced (a compaction renames a fresh base over the
+old one) or no longer holds the last line read before the offset (a
+deleted shard re-created on a reused inode number).  The entries and
+counters of a long-lived store therefore equal those of a fresh load.
 """
 
 from __future__ import annotations
@@ -32,9 +43,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.scheduler import SchedulerOptions
 from repro.explore.microarch import InfeasiblePoint, Microarch
@@ -92,6 +104,29 @@ def _decode(entry: Dict[str, object]) -> Optional[StoredResult]:
     return None
 
 
+class _FileState:
+    """How far one store file has been read."""
+
+    __slots__ = ("ident", "offset", "last", "bad", "partial")
+
+    def __init__(self, ident: Tuple[int, int]) -> None:
+        self.ident = ident  # (st_dev, st_ino): a rename over it differs
+        self.offset = 0  # just past the last complete line parsed
+        self.last = b""  # that line, newline included
+        self.bad = 0  # bad complete lines before ``offset``
+        self.partial = False  # an unterminated line follows it
+
+    def continues(self, handle, info: os.stat_result) -> bool:
+        """Whether ``handle`` is the file this state read, grown in
+        place: same inode, no shorter, and still holding the last line
+        read just before the offset."""
+        if (info.st_dev, info.st_ino) != self.ident \
+                or info.st_size < self.offset:
+            return False
+        handle.seek(self.offset - len(self.last))
+        return handle.read(len(self.last)) == self.last
+
+
 class ResultStore:
     """Append-only JSONL store of evaluated design points.
 
@@ -109,8 +144,16 @@ class ResultStore:
         self.write_path = self.path if not shard_per_process else \
             self.path.parent / f"{self.path.name}.{os.getpid()}.shard"
         self._entries: Dict[str, StoredResult] = {}
-        self.skipped_lines = 0
+        self._files: Dict[Path, _FileState] = {}
+        # supervisor threads of one engine refresh a shared store
+        self._lock = threading.Lock()
         self._load()
+
+    @property
+    def skipped_lines(self) -> int:
+        """Bad lines in the files as last read (each counted once)."""
+        return sum(state.bad + state.partial
+                   for state in self._files.values())
 
     def _shard_paths(self) -> list:
         """Every sibling shard of the base file, stably ordered."""
@@ -121,41 +164,60 @@ class ResultStore:
             return []
 
     def _load(self) -> None:
-        self._load_file(self.path)
+        paths = [self.path] + self._shard_paths()
         # merge-on-load: shards left by per-process writers.  Results
         # are content-addressed, so any merge order yields equivalent
         # entries (first writer wins per key).
-        for shard in self._shard_paths():
-            self._load_file(shard)
+        for path in paths:
+            self._load_file(path)
+        for gone in set(self._files) - set(paths):
+            del self._files[gone]  # compacted away
 
     def _load_file(self, path: Path) -> None:
+        """Parse the lines of ``path`` appended since it was last read."""
+        state = self._files.get(path)
         try:
-            # errors="replace": binary garbage in a corrupted shard
-            # must degrade to skipped lines, not an unreadable store
-            text = path.read_text(errors="replace")
+            with path.open("rb") as handle:
+                info = os.fstat(handle.fileno())
+                if state is None or not state.continues(handle, info):
+                    state = self._files[path] = _FileState(
+                        (info.st_dev, info.st_ino))
+                handle.seek(state.offset)
+                data = handle.read()
         except OSError:
+            self._files.pop(path, None)
             return
+        cut = data.rfind(b"\n") + 1
+        for line in data[:cut].split(b"\n"):
+            if not self._parse(line):
+                state.bad += 1
+        if cut:
+            state.last = data[data.rfind(b"\n", 0, cut - 1) + 1:cut]
+        state.offset += cut
+        state.partial = bool(data[cut:].strip())
+
+    def _parse(self, raw: bytes) -> bool:
+        """Fold one line into the entries; False if it is bad."""
+        # errors="replace": binary garbage in a corrupted shard must
+        # degrade to skipped lines, not an unreadable store
+        line = raw.decode(errors="replace").strip()
+        if not line:
+            return True
         model = timing_engine.TIMING_MODEL_VERSION
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                if not isinstance(entry, dict) \
-                        or entry.get("v") != STORE_VERSION \
-                        or entry.get("timing_model") != model:
-                    self.skipped_lines += 1
-                    continue
-                key = entry["key"]
-                result = _decode(entry)
-            except (ValueError, KeyError, TypeError):
-                self.skipped_lines += 1
-                continue
-            if isinstance(key, str) and result is not None:
-                self._entries.setdefault(key, result)
-            else:
-                self.skipped_lines += 1
+        try:
+            entry = json.loads(line)
+            if not isinstance(entry, dict) \
+                    or entry.get("v") != STORE_VERSION \
+                    or entry.get("timing_model") != model:
+                return False
+            key = entry["key"]
+            result = _decode(entry)
+        except (ValueError, KeyError, TypeError):
+            return False
+        if not isinstance(key, str) or result is None:
+            return False
+        self._entries.setdefault(key, result)
+        return True
 
     # ------------------------------------------------------------------
     # access
@@ -185,17 +247,19 @@ class ResultStore:
             pass
 
     def refresh(self) -> int:
-        """Re-read the base file and every shard from disk.
+        """Fold in what was appended to the base file and every shard.
 
-        Folds in entries *other* processes appended since this store
-        last read the path (first writer wins per key, as everywhere).
-        Long-running drivers (the job service) call this between jobs
-        so one process's warm-start view tracks the whole fleet.
-        Returns the number of newly learned entries.
+        Learns entries *other* processes appended since this store
+        last read the path (first writer wins per key, as everywhere),
+        parsing only the new complete lines of each file.  Long-running
+        drivers (the job service) call this between jobs so one
+        process's warm-start view tracks the whole fleet.  Returns the
+        number of newly learned entries.
         """
-        before = len(self._entries)
-        self._load()
-        return len(self._entries) - before
+        with self._lock:
+            before = len(self._entries)
+            self._load()
+            return len(self._entries) - before
 
     def _write_base(self) -> bool:
         """Atomically rewrite the base file from the in-memory entries."""
@@ -232,39 +296,42 @@ class ResultStore:
         line; the loader skips it (counted in ``skipped_lines``) and the
         rewrite drops the scar, so survivors always load cleanly.
         """
-        # fresh view: everything any writer has made durable by now
-        self._load_file(self.path)
-        shards = self._shard_paths()
-        sizes: Dict[Path, int] = {}
-        for shard in shards:
-            try:
-                sizes[shard] = shard.stat().st_size
-            except OSError:
-                sizes[shard] = -1
-            self._load_file(shard)
-        if not self._write_base():
-            return 0
-        # appends that raced the rewrite: fold and rewrite once more
-        grown = []
-        for shard in shards:
-            try:
-                if shard.stat().st_size != sizes[shard]:
-                    grown.append(shard)
-            except OSError:
-                pass
-        if grown:
-            for shard in grown:
+        with self._lock:
+            # fresh view: everything any writer has made durable by now
+            self._load_file(self.path)
+            shards = self._shard_paths()
+            sizes: Dict[Path, int] = {}
+            for shard in shards:
+                try:
+                    sizes[shard] = shard.stat().st_size
+                except OSError:
+                    sizes[shard] = -1
                 self._load_file(shard)
             if not self._write_base():
                 return 0
-        removed = 0
-        for shard in shards:
-            try:
-                shard.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+            # appends that raced the rewrite: fold and rewrite once more
+            grown = []
+            for shard in shards:
+                try:
+                    if shard.stat().st_size != sizes[shard]:
+                        grown.append(shard)
+                except OSError:
+                    pass
+            if grown:
+                for shard in grown:
+                    self._load_file(shard)
+                if not self._write_base():
+                    return 0
+            removed = 0
+            for shard in shards:
+                try:
+                    shard.unlink()
+                    removed += 1
+                except OSError:
+                    pass
+                else:
+                    self._files.pop(shard, None)
+            return removed
 
     def __len__(self) -> int:
         return len(self._entries)

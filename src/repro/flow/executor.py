@@ -78,8 +78,9 @@ class SweepResult:
     cache_misses: int = 0
     backend: str = "context"
     jobs: int = 1
-    #: sweep-layer profile: worker utilization, pickled bytes, warm
-    #: accepts/fallbacks, per-worker cache traffic (process backend).
+    #: sweep-layer profile: worker utilization, this sweep's pickled
+    #: bytes, fixpoint fast-forward accepts/rejects, per-worker cache
+    #: traffic (process backend).
     profile: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -352,6 +353,7 @@ def _execute_grid(
     misses0 = cache.misses if cache is not None else 0
     ffwd0 = profiling.counters.get("scheduler.ffwd", 0)
     reject0 = profiling.counters.get("scheduler.ffwd_reject", 0)
+    pickled0 = profiling.counters.get("sweep.pickle_bytes", 0)
     profile: Dict[str, object] = {}
     start = time.perf_counter()
 
@@ -411,10 +413,11 @@ def _execute_grid(
         out.cache_hits = cache.hits - hits0
         out.cache_misses = cache.misses - misses0
     counters = profiling.counters
-    profile["warm_accepts"] = counters.get("scheduler.ffwd", 0) - ffwd0
-    profile["warm_fallbacks"] = \
+    profile["ffwd_accepts"] = counters.get("scheduler.ffwd", 0) - ffwd0
+    profile["ffwd_rejects"] = \
         counters.get("scheduler.ffwd_reject", 0) - reject0
-    profile["pickle_bytes"] = counters.get("sweep.pickle_bytes", 0)
+    profile["pickle_bytes"] = \
+        counters.get("sweep.pickle_bytes", 0) - pickled0
     workers = profile.get("workers")
     if workers and elapsed > 0:
         busy = sum(w["busy_s"] for w in workers)

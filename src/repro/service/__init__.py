@@ -7,8 +7,8 @@ The layers, bottom up (all stdlib, no new dependencies):
 * :mod:`~repro.service.execution` -- parameter normalization, job
   content keys, and the four job kinds (``schedule`` / ``sweep`` /
   ``tune`` / ``stream``) run against the Flow/DSE stack;
-* :mod:`~repro.service.engine` -- the worker pool: process-isolated
-  attempts with timeouts and bounded retries, shared FlowCache +
+* :mod:`~repro.service.engine` -- the worker pool: long-lived worker
+  processes with timeouts and bounded retries, shared FlowCache +
   sharded ResultStore, graceful degradation to in-process execution;
 * :mod:`~repro.service.server` -- the HTTP endpoints
   (``POST /jobs``, ``GET /jobs/<id>[/result]``, ``DELETE /jobs/<id>``,

@@ -1,16 +1,26 @@
 """The job engine: worker pool, process isolation, retries, stats.
 
 A :class:`JobEngine` owns the :class:`~repro.service.jobs.JobQueue`
-and ``workers`` supervisor threads.  Each supervisor pops the highest-
-priority execution and runs it in a *worker process* (fork by default):
-the child executes :func:`~repro.service.execution.execute_job` against
-its own :class:`~repro.flow.cache.FlowCache` (warmed from and merged
-back to ``cache_path`` via the cache's merge-on-save) and a per-process
-:class:`~repro.dse.store.ResultStore` shard, streaming progress records
-back through a pipe.  The supervisor enforces the job timeout, watches
-the cancel event, and turns abnormal child exits into bounded retries
--- a SIGKILLed worker mid-job therefore ends in a retried success or a
-clean ``failed`` state with diagnostics, never a hung client.
+and ``workers`` supervisor threads.  Each supervisor owns one
+long-lived *worker process* (fork by default), spawned on first use
+and reused for later jobs.  The worker keeps one per-process
+:class:`~repro.dse.store.ResultStore` shard open for its lifetime and,
+per job, resets its metrics registry, loads a
+:class:`~repro.flow.cache.FlowCache` from ``cache_path`` (merged back
+via the cache's merge-on-save), refreshes the store so other workers'
+appends are visible, and runs
+:func:`~repro.service.execution.execute_job` under a fresh tracer,
+streaming progress records back through its pipe.
+
+The supervisor enforces the job timeout, watches the cancel event, and
+turns abnormal worker exits into bounded retries.  Only a clean verdict
+(``done``, or ``job_error`` -- a deterministic failure) keeps the
+worker; a timeout, a cancel of a running job, a crash report or a dead
+pipe terminates it, and the next attempt spawns a fresh one -- so a
+retry always runs in a fresh process, and a SIGKILLed worker mid-job
+ends in a retried success or a clean ``failed`` state with
+diagnostics, never a hung client.  ``/stats`` counts spawns in
+``worker_spawns`` (= ``workers`` on a fault-free run).
 
 If worker processes cannot be spawned at all (fork failure, exhausted
 pids -- "the pool died"), the engine degrades to serial in-process
@@ -22,7 +32,7 @@ Construction knobs:
 
 ``workers``       supervisor threads (= max concurrent jobs)
 ``mode``          "process" (isolated, default) or "inline" (no fork)
-``job_timeout_s`` per-attempt wall budget before the child is killed
+``job_timeout_s`` per-attempt wall budget before the worker is killed
 ``max_retries``   extra attempts after a crash/timeout (not after
                   deterministic failures -- those never retry)
 ``store_path``    shared JSONL result store (shards merged on load,
@@ -33,10 +43,10 @@ Construction knobs:
 from __future__ import annotations
 
 import multiprocessing
-import os
+import signal
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.dse.store import ResultStore
 from repro.flow.cache import FlowCache
@@ -55,12 +65,39 @@ from repro.service.jobs import (
 #: supervisor poll interval (pipe + cancel + deadline checks), seconds.
 POLL_S = 0.02
 
+#: grace period for a worker to exit on the shutdown sentinel, seconds.
+SHUTDOWN_GRACE_S = 2.0
 
-def _child_main(conn, kind: str, params: dict,
-                cache_path: Optional[str],
-                store_path: Optional[str],
-                traced: bool = True) -> None:
-    """Worker-process entry: run one job, stream messages back.
+
+def _worker_main(conn, cache_path: Optional[str],
+                 store_path: Optional[str]) -> None:
+    """Worker-process entry: run jobs off the pipe until told to stop.
+
+    Each incoming message is ``(kind, params, traced)``; ``None`` (the
+    shutdown sentinel) or a closed pipe ends the loop.  A worker that
+    reported a crash exits too -- its state is no longer trusted.
+    """
+    # the fork inherits the server's SIGTERM handler (``repro serve``
+    # installs one); the supervisor's terminate() must end a worker now
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    store = ResultStore(store_path, shard_per_process=True) \
+        if store_path else None
+    try:
+        while True:
+            job = conn.recv()
+            if job is None or not _serve_job(conn, cache_path, store,
+                                             *job):
+                break
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass
+    finally:
+        conn.close()
+
+
+def _serve_job(conn, cache_path: Optional[str],
+               store: Optional[ResultStore], kind: str, params: dict,
+               traced: bool) -> bool:
+    """Run one job in the worker; False when the worker must exit.
 
     Messages: ``("progress", dict)`` any number of times, then exactly
     one of ``("done", ok, result, stats)`` / ``("cancelled",)`` /
@@ -68,15 +105,9 @@ def _child_main(conn, kind: str, params: dict,
 
     Observability rides the ``done`` message: ``stats["spans"]`` holds
     the job's trace (when ``traced``) and ``stats["registry"]`` the
-    child's metrics snapshot; the supervisor pops both before they can
+    job's metrics snapshot; the supervisor pops both before they can
     reach any client-facing result payload.
     """
-    REGISTRY.reset()  # forked children inherit the parent's metrics
-    cache = FlowCache.load(cache_path) if cache_path else FlowCache()
-    store = ResultStore(store_path, shard_per_process=True) \
-        if store_path else None
-    tracer = Tracer() if traced else None
-
     def progress(info: dict) -> None:
         try:
             conn.send(("progress", info))
@@ -84,6 +115,13 @@ def _child_main(conn, kind: str, params: dict,
             pass
 
     try:
+        # per job: only this job's counters, the fleet's latest cache
+        # and every store line other workers appended since the last job
+        REGISTRY.reset()
+        cache = FlowCache.load(cache_path) if cache_path else FlowCache()
+        if store is not None:
+            store.refresh()
+        tracer = Tracer() if traced else None
         if tracer is not None:
             with tracer.span("service.job", kind=kind) as span:
                 ok, result, stats = exe.execute_job(
@@ -111,8 +149,37 @@ def _child_main(conn, kind: str, params: dict,
             conn.send(("crash", f"{type(err).__name__}: {err}"))
         except Exception:
             pass
-    finally:
-        conn.close()
+        return False
+    return True
+
+
+class _Worker:
+    """One long-lived worker process and the supervisor's pipe end."""
+
+    __slots__ = ("proc", "conn")
+
+    def __init__(self, proc, conn) -> None:
+        self.proc = proc
+        self.conn = conn
+
+    def close(self, graceful: bool = False) -> None:
+        """Reap the process: sentinel first if ``graceful``, then
+        terminate (and kill) whatever is still running."""
+        if graceful:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+            self.proc.join(timeout=SHUTDOWN_GRACE_S)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(timeout=2.0)
+            if self.proc.is_alive():  # pragma: no cover - stuck worker
+                self.proc.kill()
+                self.proc.join(timeout=2.0)
+        else:
+            self.proc.join(timeout=2.0)
+        self.conn.close()
 
 
 class _Attempt:
@@ -157,12 +224,14 @@ class JobEngine:
         self.degraded = False
         self._stop = threading.Event()
         self._threads = []
+        #: one worker process per supervisor slot (None until first use)
+        self._workers: List[Optional[_Worker]] = []
         self._lock = threading.Lock()
         self._stats: Dict[str, float] = {
             "submitted": 0, "completed": 0, "failed": 0, "cancelled": 0,
             "retries": 0, "worker_crashes": 0, "timeouts": 0,
             "cache_hits": 0, "cache_misses": 0, "store_hits": 0,
-            "store_misses": 0,
+            "store_misses": 0, "worker_spawns": 0,
         }
         self.started_at = time.time()
         try:
@@ -178,8 +247,10 @@ class JobEngine:
         if self._threads:
             return self
         self._stop.clear()
+        self._workers = [None] * self.workers
         for i in range(self.workers):
             thread = threading.Thread(target=self._worker_loop,
+                                      args=(i,),
                                       name=f"repro-worker-{i}",
                                       daemon=True)
             thread.start()
@@ -192,6 +263,9 @@ class JobEngine:
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads = []
+        # every worker has exited (its shard is final) before compaction
+        for slot in range(len(self._workers)):
+            self._retire(slot, graceful=True)
         if compact and self._store is not None:
             self._store.refresh()
             self._store.compact()
@@ -283,14 +357,14 @@ class JobEngine:
     # ------------------------------------------------------------------
     # worker side
     # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, slot: int) -> None:
         while not self._stop.is_set():
             execution = self.queue.next_execution(timeout=0.1)
             if execution is None:
                 continue
             t0 = time.perf_counter()
             try:
-                self._run_execution(execution)
+                self._run_execution(execution, slot)
                 REGISTRY.observe(
                     f"service.job_seconds.{execution.kind}",
                     time.perf_counter() - t0)
@@ -305,7 +379,7 @@ class JobEngine:
         with self._lock:
             self._stats[counter] += amount
 
-    def _run_execution(self, execution: Execution) -> None:
+    def _run_execution(self, execution: Execution, slot: int) -> None:
         """Attempt loop: process (or inline) runs, retries, verdict."""
         attempts_allowed = 1 + max(0, int(self.max_retries))
         last = None
@@ -320,7 +394,7 @@ class JobEngine:
             if self.mode == "inline" or self.degraded:
                 last = self._attempt_inline(execution)
             else:
-                last = self._attempt_process(execution)
+                last = self._attempt_process(execution, slot)
                 if last.status == "spawn_failed":
                     # the pool is gone: degrade to in-process serial
                     # execution rather than failing every job
@@ -386,23 +460,51 @@ class JobEngine:
             self._bump("failed")
 
     # -- process-isolated attempt --------------------------------------
-    def _attempt_process(self, execution: Execution) -> _Attempt:
+    def _spawn_worker(self) -> _Worker:
+        parent_conn, child_conn = self._mp.Pipe()
         try:
-            parent_conn, child_conn = self._mp.Pipe()
             proc = self._mp.Process(
-                target=_child_main,
-                args=(child_conn, execution.kind, execution.params,
-                      self.cache_path, self.store_path,
-                      self.trace_jobs),
+                target=_worker_main,
+                args=(child_conn, self.cache_path, self.store_path),
                 daemon=True)
             proc.start()
-        except (OSError, ValueError) as err:
-            return _Attempt("spawn_failed", message=str(err))
-        child_conn.close()
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()
+        self._bump("worker_spawns")
+        REGISTRY.inc("service.worker_spawns")
+        return _Worker(proc, parent_conn)
+
+    def _retire(self, slot: int, graceful: bool = False) -> None:
+        worker = self._workers[slot]
+        self._workers[slot] = None
+        if worker is not None:
+            worker.close(graceful)
+
+    def _attempt_process(self, execution: Execution, slot: int) -> _Attempt:
+        worker = self._workers[slot]
+        if worker is not None and not worker.proc.is_alive():
+            self._retire(slot)  # died while idle: start over
+            worker = None
+        if worker is None:
+            try:
+                worker = self._spawn_worker()
+            except (OSError, ValueError) as err:
+                return _Attempt("spawn_failed", message=str(err))
+            self._workers[slot] = worker
+        proc, conn = worker.proc, worker.conn
         execution.worker_pid = proc.pid
-        deadline = time.monotonic() + self.job_timeout_s
         verdict: Optional[_Attempt] = None
         try:
+            try:
+                conn.send((execution.kind, execution.params,
+                           self.trace_jobs))
+            except OSError as err:
+                verdict = _Attempt(
+                    "crash", message=f"worker pipe closed: {err}")
+            deadline = time.monotonic() + self.job_timeout_s
             while verdict is None:
                 if execution.cancel_event.is_set():
                     verdict = _Attempt("cancelled")
@@ -414,12 +516,12 @@ class JobEngine:
                                 f"{self.job_timeout_s:.1f}s")
                     break
                 try:
-                    ready = parent_conn.poll(POLL_S)
+                    ready = conn.poll(POLL_S)
                 except (OSError, EOFError):
                     ready = False
                 if ready:
                     try:
-                        msg = parent_conn.recv()
+                        msg = conn.recv()
                     except (OSError, EOFError):
                         msg = None  # died mid-send: treat as crash
                     if msg is None:
@@ -438,10 +540,10 @@ class JobEngine:
                     else:  # "crash"
                         verdict = _Attempt("crash", message=msg[1])
                 elif not proc.is_alive():
-                    # one last drain: the child may have sent its
+                    # one last drain: the worker may have sent its
                     # verdict and exited between poll and is_alive
                     try:
-                        if parent_conn.poll(0):
+                        if conn.poll(0):
                             continue
                     except (OSError, EOFError):
                         pass
@@ -451,15 +553,11 @@ class JobEngine:
                                 f"code {proc.exitcode} mid-job")
         finally:
             execution.worker_pid = None
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
-                if proc.is_alive():  # pragma: no cover - stuck child
-                    proc.kill()
-                    proc.join(timeout=2.0)
-            else:
-                proc.join(timeout=2.0)
-            parent_conn.close()
+            # only a clean verdict leaves the worker trusted and idle;
+            # anything else may have it mid-job or in unknown state
+            if verdict is None or verdict.status not in ("done",
+                                                         "job_error"):
+                self._retire(slot)
         return verdict
 
     # -- inline (degraded / mode="inline") attempt ---------------------

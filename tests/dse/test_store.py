@@ -237,3 +237,133 @@ def test_compact_is_idempotent_when_no_shards_exist(tmp_path):
     store.put("k", _pt("a"))
     assert store.compact() == 0
     assert ResultStore(path).get("k") == _pt("a")
+
+
+
+# ----------------------------------------------------------------------
+# incremental refresh
+# ----------------------------------------------------------------------
+def _line(key, label="p"):
+    """One store line exactly as put() writes it."""
+    import repro.timing.engine as engine_mod
+
+    entry = {"v": 1, "timing_model": engine_mod.TIMING_MODEL_VERSION,
+             "key": key, "point": _pt(label).to_json()}
+    return json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _same_as_fresh(store):
+    fresh = ResultStore(store.path)
+    assert store._entries == fresh._entries
+    assert store.skipped_lines == fresh.skipped_lines
+
+
+def test_refresh_parses_only_appended_lines(tmp_path, monkeypatch):
+    path = tmp_path / "store.jsonl"
+    writer = ResultStore(path)
+    for i in range(5):
+        writer.put(f"k{i}", _pt(f"p{i}"))
+    reader = ResultStore(path)
+    parsed = []
+    parse = ResultStore._parse
+    monkeypatch.setattr(ResultStore, "_parse",
+                        lambda self, raw: parsed.append(raw)
+                        or parse(self, raw))
+    assert reader.refresh() == 0
+    assert [raw for raw in parsed if raw] == []  # nothing new to parse
+    writer.put("k5", _pt("p5"))
+    assert reader.refresh() == 1
+    assert [raw for raw in parsed if raw] == [_line("k5", "p5")[:-1]
+                                             .encode()]
+    assert reader.get("k5") == _pt("p5")
+
+
+def test_refresh_counts_each_bad_line_once(tmp_path):
+    path = tmp_path / "store.jsonl"
+    store = ResultStore(path)
+    store.put("k", _pt())
+    with path.open("a") as handle:
+        handle.write("{truncated\n")
+    for _ in range(3):
+        store.refresh()
+        assert store.skipped_lines == 1
+    with path.open("a") as handle:
+        handle.write("[1, 2]\n")
+    store.refresh()
+    assert store.skipped_lines == 2
+    _same_as_fresh(store)
+
+
+def test_refresh_leaves_partial_line_for_later(tmp_path):
+    path = tmp_path / "store.jsonl"
+    store = ResultStore(path)
+    store.put("k0", _pt("a"))
+    line = _line("k1", "b")
+    with path.open("a") as handle:
+        handle.write(line[:20])  # a write in flight
+    assert store.refresh() == 0
+    assert store.get("k1") is None
+    assert store.skipped_lines == 1  # as a fresh load counts it
+    _same_as_fresh(store)
+    with path.open("a") as handle:
+        handle.write(line[20:])  # ...completed
+    assert store.refresh() == 1
+    assert store.get("k1") == _pt("b")
+    assert store.skipped_lines == 0
+    _same_as_fresh(store)
+
+
+def test_refresh_rereads_a_compacted_base(tmp_path):
+    path = tmp_path / "store.jsonl"
+    shard = path.parent / f"{path.name}.7.shard"
+    path.write_text(_line("k0") + "{scar\n")
+    shard.write_text(_line("k1"))
+    reader = ResultStore(path)
+    assert len(reader) == 2 and reader.skipped_lines == 1
+    # another process folds the shard in: base replaced, shard gone
+    assert ResultStore(path).compact() == 1
+    assert reader.refresh() == 0
+    assert reader.skipped_lines == 0  # the scar went with the rewrite
+    _same_as_fresh(reader)
+    # a base rewritten in place, shorter, is re-read whole, too
+    path.write_text(_line("k2") + "{scar\n")
+    assert reader.refresh() == 1
+    assert reader.get("k2") == _pt() and reader.skipped_lines == 1
+
+
+def test_long_lived_store_matches_fresh_load(tmp_path):
+    """Any interleaving of appends (whole, torn, corrupt), compactions
+    and refreshes leaves a long-lived store equal to a fresh load."""
+    import random
+
+    rng = random.Random(7)
+    path = tmp_path / "store.jsonl"
+    reader = ResultStore(path)
+    files = [path] + [path.parent / f"{path.name}.{pid}.shard"
+                      for pid in (11, 22, 33)]
+    pending = {}  # file -> rest of a torn line
+    for step in range(300):
+        action = rng.random()
+        target = rng.choice(files)
+        if action < 0.5:
+            line = pending.pop(target, None) or _line(f"k{step}",
+                                                      f"p{step}")
+            cut = rng.randrange(len(line)) if rng.random() < 0.2 \
+                else len(line)
+            if cut < len(line):
+                pending[target] = line[cut:]
+            with target.open("a") as handle:
+                handle.write(line[:cut])
+        elif action < 0.6 and target not in pending:
+            with target.open("a") as handle:
+                handle.write(rng.choice(["{bad\n", "[]\n", "\n",
+                                         '{"v": 1, "key": 3}\n']))
+        elif action < 0.65:
+            ResultStore(path).compact()
+            pending.clear()  # torn tails died with their shards
+        else:
+            reader.refresh()
+            _same_as_fresh(reader)
+    reader.refresh()
+    _same_as_fresh(reader)
+    assert len(reader) > 50

@@ -51,6 +51,17 @@ def test_process_profile_accounts_for_every_point(lib):
     assert result.profile["pickle_bytes"] > 0
 
 
+def test_pickle_bytes_count_this_sweep_only(lib):
+    """Two identical sweeps in one process ship the same bytes: the
+    profile reports the sweep's own delta, not the process total."""
+    first = run_sweep(build_example1, lib, MICROS, CLOCKS,
+                      jobs=2, backend="process")
+    second = run_sweep(build_example1, lib, MICROS, CLOCKS,
+                       jobs=2, backend="process")
+    assert first.profile["pickle_bytes"] > 0
+    assert second.profile["pickle_bytes"] == first.profile["pickle_bytes"]
+
+
 def test_warm_process_resweep_is_all_parent_served(lib):
     cache = FlowCache()
     cold = run_sweep(build_example1, lib, MICROS, CLOCKS,
@@ -114,11 +125,11 @@ def test_ffwd_identical_to_cold_path_on_budget_exhaustion():
     assert len(cold[2]) == SchedulerOptions().max_passes
 
 
-def test_ffwd_fire_surfaces_as_warm_accepts_in_profile(lib):
+def test_ffwd_fire_surfaces_as_ffwd_accepts_in_profile(lib):
     options = SchedulerOptions(allow_multicycle=False)
     result = run_sweep(_spiral_region, lib, (Microarch("NP3", 3),),
                        (SPIRAL_CLOCK,), options=options)
     (bad,) = result.infeasible
     assert "pass budget" in bad.reason
-    assert result.profile["warm_accepts"] == 1
-    assert result.profile["warm_fallbacks"] == 0
+    assert result.profile["ffwd_accepts"] == 1
+    assert result.profile["ffwd_rejects"] == 0

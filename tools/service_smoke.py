@@ -14,6 +14,9 @@ terminal picture:
   carry the worker process's pid (cross-process collection);
 * ``/metrics`` serves Prometheus text with the job-latency histogram
   and ``/stats`` carries hit rates + per-kind latency percentiles;
+* workers are long-lived: only a cancel of a running job, a crash or
+  a timeout costs a fresh spawn, so ``worker_spawns`` stays within
+  ``workers + cancelled + worker_crashes + timeouts``;
 * the engine never degraded.
 
 Throughput figures land in ``SERVICE_smoke.json`` (override with
@@ -134,6 +137,11 @@ def main() -> int:
         assert latency and all("p90_s" in v for v in latency.values()), \
             latency
 
+        # persistent workers: spawns only replace retired workers
+        assert stats["worker_spawns"] <= (
+            stats["workers"] + stats["cancelled"]
+            + stats["worker_crashes"] + stats["timeouts"]), stats
+
         assert client.healthz()["degraded"] is False, "pool died"
 
     done = sum(o["state"] == "done" for o in outcomes)
@@ -143,6 +151,7 @@ def main() -> int:
         "cancelled": sum(o["state"] == "cancelled" for o in outcomes),
         "failed": sum(o["state"] == "failed" for o in outcomes),
         "dedup_hits": stats["dedup_hits"],
+        "worker_spawns": stats["worker_spawns"],
         "elapsed_s": round(elapsed, 3),
         "jobs_per_sec": round(len(CLIENTS) / elapsed, 2),
         "cache_hit_rate": stats.get("cache_hit_rate"),
