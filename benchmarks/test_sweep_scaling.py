@@ -2,15 +2,15 @@
 
 The headline pin: a cold Figure-10-style microarch x clock grid on the
 ``jpeg_dct`` CHStone kernel must run >=3x faster through the sweep
-engine at ``jobs=8`` than through the seed thread-pool path -- while
+engine at ``jobs=8`` than through the serial seed loop -- while
 producing bit-identical results (same points, same infeasible records,
-same diagnostics text, in the same order).  The seed baseline runs with
-``fixpoint_ffwd=False`` and ``backend="thread"``, which is exactly the
-pre-engine executor: per-point region rebuilds fanned over a GIL-bound
-thread pool, no cross-point reuse, no relaxation fast-forward.
+same diagnostics text, in the same order).  The seed baseline is one
+cold :func:`~repro.flow.executor.synthesize_design_point` per grid
+point, in grid order, with ``fixpoint_ffwd=False``: per-point region
+rebuilds, no cross-point reuse, no relaxation fast-forward.
 
-A second test records thread-vs-process scaling curves on a reduced
-grid (cold cache per run) into ``BENCH_results.json``; the CI
+A second test records the engine's scaling curve over ``jobs`` on a
+reduced grid (cold cache per run) into ``BENCH_results.json``; the CI
 sweep-scaling lane runs it as a jobs=1 vs jobs=4 smoke with
 ``REPRO_SWEEP_SMOKE=1``.
 """
@@ -21,9 +21,13 @@ import time
 import pytest
 
 from repro.core.scheduler import SchedulerOptions
-from repro.explore.microarch import Microarch
+from repro.explore.microarch import InfeasiblePoint, Microarch
 from repro.flow.cache import FlowCache
-from repro.flow.executor import run_sweep
+from repro.flow.executor import (
+    SweepResult,
+    run_sweep,
+    synthesize_design_point,
+)
 from repro.workloads import PYFUNC_REGISTRY
 
 from benchmarks.conftest import banner
@@ -56,13 +60,21 @@ def _render(result):
         [repr(q) for q in result.infeasible]
 
 
+def _seed_sweep(factory, lib, micros, clocks):
+    """The seed path: a cold per-point synthesis loop in grid order."""
+    results = [synthesize_design_point(factory, lib, m, c, SEED_OPTIONS)
+               for m in micros for c in clocks]
+    return SweepResult(
+        points=[r for r in results if not isinstance(r, InfeasiblePoint)],
+        infeasible=[r for r in results if isinstance(r, InfeasiblePoint)])
+
+
 @pytest.mark.skipif(SMOKE, reason="smoke lane runs the reduced curves")
 def test_sweep_engine_speedup_vs_seed(lib, bench_metrics):
     factory = PYFUNC_REGISTRY["jpeg_dct"].build
 
     t0 = time.perf_counter()
-    seed = run_sweep(factory, lib, GRID_MICROS, GRID_CLOCKS,
-                     options=SEED_OPTIONS, jobs=8, backend="thread")
+    seed = _seed_sweep(factory, lib, GRID_MICROS, GRID_CLOCKS)
     seed_s = time.perf_counter() - t0
 
     # best-of-2 cold engine runs (fresh cache each): the pinned claim
@@ -89,13 +101,13 @@ def test_sweep_engine_speedup_vs_seed(lib, bench_metrics):
     print(f"  grid: {len(GRID_MICROS)}x{len(GRID_CLOCKS)} points, "
           f"{len(seed.points)} feasible / {len(seed.infeasible)} "
           f"infeasible")
-    print(f"  seed thread path {seed_s:.2f}s -> engine "
+    print(f"  serial seed loop {seed_s:.2f}s -> engine "
           f"({engine.backend}) {engine_s:.2f}s = {speedup:.2f}x")
     print(f"  engine profile: {engine.profile}")
 
     bench_metrics.update({
         "grid_points": seed.total,
-        "seed_thread_s": round(seed_s, 3),
+        "seed_serial_s": round(seed_s, 3),
         "engine_s": round(engine_s, 3),
         "engine_times_s": [round(t, 3) for t in engine_times],
         "engine_backend": engine.backend,
@@ -117,8 +129,7 @@ def test_sweep_engine_speedup_vs_seed(lib, bench_metrics):
             f"disables on known-slow hosts)")
 
 
-#: scaling-curve grid: small enough to run cold per (backend, jobs)
-#: configuration, but with one budget-exhausting corner (NP32@2100)
+#: scaling-curve grid: small enough to run cold per ``jobs`` setting, but with one budget-exhausting corner (NP32@2100)
 #: so the curves still exercise the expensive regime.
 CURVE_MICROS = (Microarch("NP32", 32), Microarch("P48:24", 48, ii=24))
 CURVE_CLOCKS = (1600.0, 2100.0)
@@ -129,22 +140,21 @@ def test_sweep_scaling_curves(lib, bench_metrics):
     factory = PYFUNC_REGISTRY["jpeg_dct"].build
     reference = None
     curves = {}
-    for backend in ("thread", "process"):
-        for jobs in CURVE_JOBS:
-            cache = FlowCache()  # fresh: every configuration runs cold
-            t0 = time.perf_counter()
-            result = run_sweep(factory, lib, CURVE_MICROS, CURVE_CLOCKS,
-                               jobs=jobs, cache=cache, backend=backend)
-            curves[f"{backend}_j{jobs}_s"] = \
-                round(time.perf_counter() - t0, 3)
-            if reference is None:
-                reference = _render(result)
-            else:
-                # every (backend, jobs) combination is bit-identical
-                assert _render(result) == reference, (backend, jobs)
-    banner("sweep engine: thread vs process scaling "
-           f"(jobs {list(CURVE_JOBS)}, cold per run)")
-    for name, seconds in curves.items():
-        print(f"  {name:16s} {seconds:8.3f}")
+    for jobs in CURVE_JOBS:
+        cache = FlowCache()  # fresh: every configuration runs cold
+        t0 = time.perf_counter()
+        result = run_sweep(factory, lib, CURVE_MICROS, CURVE_CLOCKS,
+                           jobs=jobs, cache=cache)
+        curves[f"engine_j{jobs}_s"] = round(time.perf_counter() - t0, 3)
+        curves[f"engine_j{jobs}_backend"] = result.backend
+        if reference is None:
+            reference = _render(result)
+        else:
+            # every jobs setting (and so both backends) is bit-identical
+            assert _render(result) == reference, jobs
+    banner("sweep engine: scaling over jobs "
+           f"({list(CURVE_JOBS)}, cold per run)")
+    for name, value in curves.items():
+        print(f"  {name:20s} {value:>8}")
     bench_metrics.update(curves)
     bench_metrics["grid_points"] = len(CURVE_MICROS) * len(CURVE_CLOCKS)

@@ -215,10 +215,3 @@ class RestraintLog:
             # differently)
             m.weight = _accumulated_weight(base, adds[key])
         return sorted(merged.values(), key=lambda r: -r.weight)
-
-    def summary(self) -> Dict[str, int]:
-        """Counts per restraint kind (for diagnostics and tests)."""
-        out: Dict[str, int] = {}
-        for r, n in zip(self.restraints, self._counts):
-            out[r.kind.value] = out.get(r.kind.value, 0) + n
-        return out

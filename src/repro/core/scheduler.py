@@ -37,7 +37,6 @@ from repro.core.relaxation import (
     applied_actions,
     driver_fingerprint,
     propose_actions,
-    race_relaxation,
 )
 from repro.core.restraints import Restraint, RestraintKind, RestraintLog
 from repro.obs.trace import Tracer, maybe_span
@@ -85,7 +84,6 @@ class SchedulerOptions:
     #: even when they violate the clock -- downstream logic synthesis then
     #: has to buy the slack back with area (see rtl.compensation).
     accept_negative_slack: bool = False
-    trace: bool = False
     #: the scheduler-core optimizations (commit-outcome cache, pass-to-pass
     #: carryover of mobility/heights/dependency maps, memoized priorities
     #: and candidate lists).  Every one of them is decision-neutral --
@@ -103,11 +101,6 @@ class SchedulerOptions:
     #: bit-identical to the cold path; ``False`` is the reference path the
     #: equivalence suite compares against.
     fixpoint_ffwd: bool = True
-    #: relaxation race width: with ``jobs > 1``, after a failed pass the
-    #: top actions are tried concurrently in worker processes and the
-    #: lowest-indexed feasible branch wins (deterministic tie-break).
-    #: ``jobs=1`` is the exact serial path.
-    jobs: int = 1
 
 
 class _RegionCache:
@@ -1213,10 +1206,6 @@ def schedule_region(
                     pspan.set(key.replace(".", "_"),
                               profiling.counters.get(key, 0)
                               - eng_before[key])
-            if options.trace:
-                print(f"[pass {pass_no}] latency={state.latency} "
-                      f"success={outcome.success} "
-                      f"restraints={outcome.log.summary()}")
             if outcome.success:
                 # prune instances the binder never used (batched
                 # resource additions may overshoot; unused copies cost
@@ -1288,22 +1277,6 @@ def schedule_region(
                 pspan.set("action", actions[0].name)
                 pspan.set("action_gain", actions[0].gain)
                 pspan.set("action_outcome", "accepted")
-            if options.jobs > 1 and len(actions) > 1:
-                raced = race_relaxation(
-                    region, library, clock_ps, pipeline, allocation,
-                    analyzed, state, options, outlook, len(actions),
-                    tracer=tracer)
-                if raced is not None:
-                    branch, state = raced
-                    if pspan is not None:
-                        pspan.set("raced", True)
-                        pspan.set("race_winner", branch)
-                        pspan.set("action",
-                                  actions[branch].name
-                                  if branch is not None
-                                  else actions[0].name)
-                    prev_fp = None  # may diverge from branch 0
-                    continue
             # relaxation fixpoint fast-forward: when this failed pass
             # is an exact replay of the previous one (same analyzed
             # restraints, same scored actions) and the batch about to
@@ -1317,7 +1290,7 @@ def schedule_region(
             if options.fixpoint_ffwd and cache is not None:
                 fp = driver_fingerprint(analyzed, actions)
                 if fp == prev_fp:
-                    if _ffwd_stable(applied_actions(actions, 0),
+                    if _ffwd_stable(applied_actions(actions),
                                     outcome.pool, outcome.netlist):
                         remaining = options.max_passes - pass_no + 1
                         profiling.bump("scheduler.ffwd")
@@ -1327,7 +1300,7 @@ def schedule_region(
                             pspan.set("ffwd", "accepted")
                             pspan.set("ffwd_passes", remaining - 1)
                         for _ in range(remaining):
-                            apply_action_batch(actions, 0, state)
+                            apply_action_batch(actions, state)
                         break
                     # an exact replay whose batch could still perturb
                     # a future pass: stay on the cold path (and count
@@ -1342,7 +1315,7 @@ def schedule_region(
             # binding prohibitions, speculations): they interact with
             # neither the winner nor each other, so applying them
             # together saves whole scheduling passes on large designs
-            apply_action_batch(actions, 0, state)
+            apply_action_batch(actions, state)
     raise ScheduleError(
         f"{region.name}: pass budget ({options.max_passes}) exhausted",
         state.history)

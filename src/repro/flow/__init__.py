@@ -12,9 +12,10 @@ compilations:
   deterministic hash of (region structure, library, clock, options);
 * :func:`run_sweep` / :func:`run_points` -- the sweep engine behind
   the Figure 10/11 experiments and the DSE layer's batched
-  evaluations: three decision-identical backends (``context``,
-  ``process``, ``thread``), cross-point carryover via
-  :class:`SweepContext`, and explicit infeasible-point records.
+  evaluations: two decision-identical backends (``context``, and
+  ``process`` for ``jobs > 1`` on multicore hosts), cross-point
+  carryover via :class:`SweepContext`, and explicit infeasible-point
+  records.
 
 The legacy entry points (``pipeline_loop``, ``sweep_microarchitectures``,
 the CLI commands) are thin shims over this package.
@@ -23,7 +24,6 @@ the CLI commands) are thin shims over this package.
 from repro.flow.cache import FlowCache, compilation_key, region_fingerprint
 from repro.flow.context import CompilationContext, Diagnostic, PassTiming
 from repro.flow.executor import (
-    BACKENDS,
     PointResult,
     SweepResult,
     run_points,
@@ -46,7 +46,6 @@ from repro.flow.passes import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CompilationContext",
     "Diagnostic",
     "FLOW_REGISTRY",

@@ -1,18 +1,19 @@
 """The sweep engine: process-parallel, cross-point-incremental grids.
 
 Runs the microarchitecture x clock grid of the paper's Figures 10/11
-through the ``sweep`` flow.  Three backends share one contract -- every
+through the ``sweep`` flow.  Two backends share one contract -- every
 scheduling decision is bit-identical to the serial cold path, point for
-point, diagnostics included:
+point, diagnostics included -- and the engine picks between them from
+``jobs`` and the host's core count:
 
-``context`` (default for ``jobs <= 1``)
+``context`` (``jobs <= 1``, or a single-core host)
     Serial traversal over a :class:`~repro.flow.sweepctx.SweepContext`:
     the region factory runs once, each microarchitecture variant
     (unroll + latency clamp + banking) is built once, and all clocks of
     a variant share one scheduler carryover cache (timing statics,
     heights, priority orders, clock-keyed ASAP/ALAP skeletons).
 
-``process`` (default for ``jobs > 1``)
+``process`` (``jobs > 1`` on a multicore host)
     The context engine sharded over worker processes.  Points are
     batched per variant, each batch shipping its prebuilt region to the
     worker as one pickle blob (not one per point); workers keep a
@@ -22,15 +23,10 @@ point, diagnostics included:
     re-sweeps never pay worker dispatch.  Any pool-level failure falls
     back to the ``context`` backend for the remaining points.
 
-``thread``
-    The seed executor, preserved verbatim as the benchmark baseline and
-    the fallback of last resort: per-point factory rebuilds fanned out
-    over a GIL-bound thread pool.
-
 Infeasible configurations are first-class :class:`InfeasiblePoint`
 results instead of being silently dropped.  Result ordering is the
 serial traversal order (microarchitecture-major, then clock) under
-every backend.
+both backends.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -62,9 +58,6 @@ from repro.obs.trace import Tracer, maybe_span
 from repro.tech.library import Library
 
 PointResult = Union[DesignPoint, InfeasiblePoint]
-
-#: sweep backends; ``None`` picks ``context`` or ``process`` by jobs.
-BACKENDS = ("context", "process", "thread")
 
 
 @dataclass
@@ -263,6 +256,7 @@ def _run_process_backend(
     # chunking already bounds useful parallelism at one batch per
     # variant-chunk
     max_workers = min(jobs, max(1, os.cpu_count() or 1))
+    profile["pool_workers"] = max_workers
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         futures = []
         chunk_map: List[List[int]] = []
@@ -302,28 +296,6 @@ def _run_process_backend(
     profile["workers"] = workers
 
 
-def _run_sweep_threads(
-    region_factory: Callable[[], Region],
-    library: Library,
-    grid: List[Tuple[Microarch, float]],
-    options: Optional[SchedulerOptions],
-    jobs: int,
-    cache: Optional[FlowCache],
-    tracer: Optional[Tracer] = None,
-) -> List[PointResult]:
-    """The seed thread-pool path (benchmark baseline, GIL-bound)."""
-    def one(item: Tuple[Microarch, float]) -> PointResult:
-        microarch, clock = item
-        return synthesize_design_point(
-            region_factory, library, microarch, clock, options, cache,
-            tracer)
-
-    if jobs <= 1:
-        return [one(item) for item in grid]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, grid))
-
-
 def _execute_grid(
     region_factory: Callable[[], Region],
     library: Library,
@@ -331,7 +303,6 @@ def _execute_grid(
     options: Optional[SchedulerOptions],
     jobs: int,
     cache: Optional[FlowCache],
-    backend: Optional[str],
     tracer: Optional[Tracer] = None,
 ) -> Tuple[List[PointResult], SweepResult]:
     """Execute an explicit (microarch, clock) list on the sweep engine.
@@ -340,15 +311,11 @@ def _execute_grid(
     :func:`run_points` (ragged point lists).  Returns the per-point
     results in input order plus the accounting record.
     """
-    if backend is None:
-        # a process pool on a single-core host is pure fork/pickle
-        # overhead -- the context engine does the same work in-process
-        # (backends are decision-identical, so the choice is invisible)
-        backend = "process" if jobs > 1 and (os.cpu_count() or 1) > 1 \
-            else "context"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown sweep backend {backend!r}; choose from {BACKENDS}")
+    # a process pool on a single-core host is pure fork/pickle
+    # overhead -- the context engine does the same work in-process
+    # (backends are decision-identical, so the choice is invisible)
+    backend = "process" if jobs > 1 and (os.cpu_count() or 1) > 1 \
+        else "context"
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
     ffwd0 = profiling.counters.get("scheduler.ffwd", 0)
@@ -359,47 +326,41 @@ def _execute_grid(
 
     with maybe_span(tracer, "sweep.run", backend=backend, jobs=jobs,
                     points=len(grid)):
-        if backend == "thread":
-            results: List[Optional[PointResult]] = _run_sweep_threads(
-                region_factory, library, grid, options, jobs, cache,
-                tracer)
-        else:
-            sctx = SweepContext(region_factory, library)
-            results = [None] * len(grid)
-            if backend == "process" and jobs > 1:
-                # serve points the shared cache already covers in the
-                # parent (the flow's own get() calls do the hit
-                # counting), then dispatch the rest to workers
-                parent_served = 0
-                for idx, (microarch, clock) in enumerate(grid):
-                    if cache is None:
-                        break
-                    variant = sctx.variant(microarch)
-                    if variant.region is None:
-                        continue
-                    key = compilation_key(
-                        variant.region, library, clock,
-                        options or SchedulerOptions(), variant.pipeline)
-                    if cache.peek(key, "schedule"):
-                        results[idx] = _variant_point(
-                            variant, library, clock, options, cache,
-                            tracer)
-                        parent_served += 1
-                profile["parent_served"] = parent_served
-                try:
-                    _run_process_backend(sctx, grid, results, library,
-                                         options, jobs, cache, profile,
-                                         tracer)
-                except Exception:
-                    # pool-level failure (unpicklable payload, broken
-                    # worker): finish on the in-process context engine
-                    profiling.bump("sweep.process_fallback")
-                    profile["process_fallback"] = True
+        sctx = SweepContext(region_factory, library)
+        results: List[Optional[PointResult]] = [None] * len(grid)
+        if backend == "process":
+            # serve points the shared cache already covers in the
+            # parent (the flow's own get() calls do the hit counting),
+            # then dispatch the rest to workers
+            parent_served = 0
             for idx, (microarch, clock) in enumerate(grid):
-                if results[idx] is None:
+                if cache is None:
+                    break
+                variant = sctx.variant(microarch)
+                if variant.region is None:
+                    continue
+                key = compilation_key(
+                    variant.region, library, clock,
+                    options or SchedulerOptions(), variant.pipeline)
+                if cache.peek(key, "schedule"):
                     results[idx] = _variant_point(
-                        sctx.variant(microarch), library, clock,
-                        options, cache, tracer)
+                        variant, library, clock, options, cache, tracer)
+                    parent_served += 1
+            profile["parent_served"] = parent_served
+            try:
+                _run_process_backend(sctx, grid, results, library,
+                                     options, jobs, cache, profile,
+                                     tracer)
+            except Exception:
+                # pool-level failure (unpicklable payload, broken
+                # worker): finish on the in-process context engine
+                profiling.bump("sweep.process_fallback")
+                profile["process_fallback"] = True
+        for idx, (microarch, clock) in enumerate(grid):
+            if results[idx] is None:
+                results[idx] = _variant_point(
+                    sctx.variant(microarch), library, clock, options,
+                    cache, tracer)
 
     elapsed = time.perf_counter() - start
     out = SweepResult(elapsed_s=elapsed, backend=backend, jobs=jobs,
@@ -422,7 +383,7 @@ def _execute_grid(
     if workers and elapsed > 0:
         busy = sum(w["busy_s"] for w in workers)
         profile["worker_utilization"] = round(
-            busy / (elapsed * max(jobs, 1)), 4)
+            busy / (elapsed * profile["pool_workers"]), 4)
         REGISTRY.set_gauge("sweep.worker_utilization",
                            profile["worker_utilization"])
     profiling.bump("sweep.points", len(grid))
@@ -443,15 +404,14 @@ def run_sweep(
     options: Optional[SchedulerOptions] = None,
     jobs: int = 1,
     cache: Optional[FlowCache] = None,
-    backend: Optional[str] = None,
     tracer: Optional[Tracer] = None,
 ) -> SweepResult:
     """The full microarch x clock grid, on the sweep engine.
 
-    ``backend`` selects ``context`` / ``process`` / ``thread``
-    explicitly; by default ``jobs`` decides (``context`` serially,
-    ``process`` for ``jobs > 1`` on multicore hosts).  Result ordering
-    and every scheduling decision are identical across backends --
+    ``jobs`` picks the backend: ``context`` serially, ``process`` for
+    ``jobs > 1`` on multicore hosts (:attr:`SweepResult.backend`
+    reports the pick).  Result ordering and every scheduling decision
+    are identical across backends --
     including with a ``tracer`` attached, which collects per-point
     spans (worker-process spans come home over the cache merge-back
     channel) without steering anything.
@@ -459,7 +419,7 @@ def run_sweep(
     grid: List[Tuple[Microarch, float]] = [
         (m, float(c)) for m in microarchs for c in clocks_ps]
     _, out = _execute_grid(region_factory, library, grid, options, jobs,
-                           cache, backend, tracer)
+                           cache, tracer)
     return out
 
 
@@ -470,7 +430,6 @@ def run_points(
     options: Optional[SchedulerOptions] = None,
     jobs: int = 1,
     cache: Optional[FlowCache] = None,
-    backend: Optional[str] = None,
     tracer: Optional[Tracer] = None,
 ) -> List[PointResult]:
     """A ragged (microarch, clock) list through the sweep engine.
@@ -483,5 +442,5 @@ def run_points(
     """
     grid = [(m, float(c)) for m, c in points]
     results, _ = _execute_grid(region_factory, library, grid, options,
-                               jobs, cache, backend, tracer)
+                               jobs, cache, tracer)
     return results

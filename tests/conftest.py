@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import settings as hypothesis_settings
@@ -29,6 +30,16 @@ def property_examples(default: int = 25) -> int:
     """Example count for property suites; REPRO_MAX_EXAMPLES raises it
     (the acceptance runs use 200)."""
     return int(os.environ.get("REPRO_MAX_EXAMPLES", default))
+
+
+def multicore_host(cpus: int = 2):
+    """Patch ``os.cpu_count`` so ``jobs > 1`` sweeps take the process
+    path even on a single-core host (the engine picks its backend from
+    ``jobs`` and the core count).  A plain context manager rather than
+    a fixture, so Hypothesis tests can enter it per example."""
+    return mock.patch("repro.flow.executor.os.cpu_count",
+                      return_value=cpus)
+
 
 #: the paper's clock for the worked examples (section IV, Example 1).
 PAPER_CLOCK_PS = 1600.0

@@ -1,10 +1,14 @@
-"""PR 8 surface contracts: profile accounting and the ffwd fast path.
+"""Sweep-engine surface contracts: backend pick, profile accounting and
+the ffwd fast path.
 
-Two invariants the sweep engine reports but nothing previously pinned:
+Invariants the sweep engine reports:
 
+* the backend is picked from ``jobs`` and the host's core count alone:
+  ``process`` iff ``jobs > 1`` on a multicore host, else ``context``;
 * the process backend's profile accounts for every grid point exactly
   once -- ``parent_served`` (cache hits served before the fan-out) plus
-  the per-worker chunk ``points`` must equal the grid size;
+  the per-worker chunk ``points`` must equal the grid size -- and its
+  ``worker_utilization`` is busy time over the workers actually started;
 * the relaxation fixpoint fast-forward is decision-identical to the
   cold path on a budget-exhausted region *and actually fires* (the
   existing property test only checked error-message identity, which
@@ -22,6 +26,8 @@ from repro.flow import FlowCache, run_sweep
 from repro.tech import artisan90
 from repro.workloads import build_example1
 
+from tests.conftest import multicore_host
+
 MICROS = tuple(Microarch(f"NP{k}", k) for k in (2, 3, 4, 5))
 CLOCKS = (1000.0, 1600.0, 2400.0)
 
@@ -31,13 +37,35 @@ def _accounted(profile):
             + sum(w["points"] for w in profile.get("workers", [])))
 
 
+def _process_sweep(lib, jobs=2, cpus=2, **kwargs):
+    """The example1 grid on the process backend, whatever the host."""
+    with multicore_host(cpus):
+        result = run_sweep(build_example1, lib, MICROS, CLOCKS,
+                           jobs=jobs, **kwargs)
+    assert result.backend == "process"
+    return result
+
+
+# ----------------------------------------------------------------------
+# backend pick: jobs and the core count, nothing else
+# ----------------------------------------------------------------------
+def test_backend_pick_follows_jobs_and_core_count(lib):
+    def backend(jobs, cpus):
+        with multicore_host(cpus):
+            return run_sweep(build_example1, lib, MICROS[:1],
+                             CLOCKS[:1], jobs=jobs).backend
+
+    assert backend(jobs=4, cpus=1) == "context"
+    assert backend(jobs=4, cpus=4) == "process"
+    assert backend(jobs=1, cpus=1) == "context"
+    assert backend(jobs=1, cpus=4) == "context"
+
+
 # ----------------------------------------------------------------------
 # profile counter invariant: parent_served + worker points == total
 # ----------------------------------------------------------------------
 def test_process_profile_accounts_for_every_point(lib):
-    result = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                       jobs=2, backend="process")
-    assert result.backend == "process"
+    result = _process_sweep(lib)
     assert result.total == len(MICROS) * len(CLOCKS)
     assert not result.profile.get("process_fallback")
     assert _accounted(result.profile) == result.total
@@ -54,20 +82,16 @@ def test_process_profile_accounts_for_every_point(lib):
 def test_pickle_bytes_count_this_sweep_only(lib):
     """Two identical sweeps in one process ship the same bytes: the
     profile reports the sweep's own delta, not the process total."""
-    first = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                      jobs=2, backend="process")
-    second = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                       jobs=2, backend="process")
+    first = _process_sweep(lib)
+    second = _process_sweep(lib)
     assert first.profile["pickle_bytes"] > 0
     assert second.profile["pickle_bytes"] == first.profile["pickle_bytes"]
 
 
 def test_warm_process_resweep_is_all_parent_served(lib):
     cache = FlowCache()
-    cold = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                     jobs=2, backend="process", cache=cache)
-    warm = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                     jobs=2, backend="process", cache=cache)
+    cold = _process_sweep(lib, cache=cache)
+    warm = _process_sweep(lib, cache=cache)
     # identical decisions either way
     assert warm.points == cold.points
     assert warm.infeasible == cold.infeasible
@@ -76,6 +100,15 @@ def test_warm_process_resweep_is_all_parent_served(lib):
     assert warm.profile["parent_served"] == warm.total
     assert sum(w["points"] for w in warm.profile.get("workers", [])) == 0
     assert _accounted(warm.profile) == warm.total
+
+
+def test_worker_utilization_divides_by_workers_started(lib):
+    """``jobs=8`` on a 2-core host starts 2 workers, so utilization is
+    busy time over 2 worker-lifetimes, not 8."""
+    result = _process_sweep(lib, jobs=8, cpus=2)
+    busy = sum(w["busy_s"] for w in result.profile["workers"])
+    assert result.profile["worker_utilization"] == round(
+        busy / (result.elapsed_s * 2), 4)
 
 
 # ----------------------------------------------------------------------

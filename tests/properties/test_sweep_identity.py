@@ -1,11 +1,13 @@
 """Bit-identity of the sweep engine against the serial cold path.
 
-The engine's contract (ISSUE PR 8): whatever backend runs a sweep --
-the serial context engine with its cross-point carryover, the process
-pool with per-worker caches, warm-started re-sweeps over a shared
-cache, or the relaxation fixpoint fast-forward -- every scheduling
-decision must be bit-identical to the seed path: per-point region
-rebuilds, no carryover, no fast-forward, thread backend.  That covers
+The engine's contract: whatever backend runs a sweep -- the serial
+context engine with its cross-point carryover, the process pool with
+per-worker caches, warm-started re-sweeps over a shared cache, or the
+relaxation fixpoint fast-forward -- every scheduling decision must be
+bit-identical to the seed path: one cold
+:func:`~repro.flow.executor.synthesize_design_point` per grid point, in
+grid order (per-point region rebuilds, no carryover, no fast-forward).
+That covers
 feasible points (all metrics), InfeasiblePoint records (reason text
 included), flow diagnostics, and tune winners.
 
@@ -19,14 +21,14 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tests.conftest import property_examples
+from tests.conftest import multicore_host, property_examples
 
 from repro.cdfg import RegionBuilder
 from repro.core.schedule import ScheduleError
 from repro.core.scheduler import SchedulerOptions, schedule_region
-from repro.explore.microarch import Microarch
-from repro.flow import FlowCache, run_sweep
-from repro.flow.executor import run_points
+from repro.explore.microarch import InfeasiblePoint, Microarch
+from repro.flow import FlowCache, SweepResult, run_sweep
+from repro.flow.executor import run_points, synthesize_design_point
 from repro.workloads import build_example1, build_fir
 from repro.workloads.synthetic import industrial_suite
 
@@ -43,20 +45,31 @@ def _render(result):
         [repr(q) for q in result.infeasible]
 
 
+def _seed_sweep(factory, lib, micros, clocks):
+    """The seed path: a cold per-point synthesis loop in grid order."""
+    results = [synthesize_design_point(factory, lib, m, float(c),
+                                       SEED_OPTIONS)
+               for m in micros for c in clocks]
+    return SweepResult(
+        points=[r for r in results if not isinstance(r, InfeasiblePoint)],
+        infeasible=[r for r in results if isinstance(r, InfeasiblePoint)])
+
+
 def _identical_across_backends(factory, lib, micros, clocks):
     """Assert the full backend matrix reproduces the seed rendering."""
-    seed = run_sweep(factory, lib, micros, clocks,
-                     options=SEED_OPTIONS, backend="thread")
+    seed = _seed_sweep(factory, lib, micros, clocks)
     reference = _render(seed)
     # context engine (shared variants + carryover + ffwd), cold
     assert _render(run_sweep(factory, lib, micros, clocks)) == reference
     # process pool with a shared cache: cold, then warm re-sweep
     cache = FlowCache()
-    cold = run_sweep(factory, lib, micros, clocks, jobs=4,
-                     cache=cache, backend="process")
+    with multicore_host():
+        cold = run_sweep(factory, lib, micros, clocks, jobs=4,
+                         cache=cache)
+        warm = run_sweep(factory, lib, micros, clocks, jobs=4,
+                         cache=cache)
+    assert cold.backend == warm.backend == "process"
     assert _render(cold) == reference
-    warm = run_sweep(factory, lib, micros, clocks, jobs=4,
-                     cache=cache, backend="process")
     assert _render(warm) == reference
     assert warm.cache_misses == 0  # fully served, yet bit-identical
     return seed
@@ -92,19 +105,18 @@ def test_run_points_matches_run_sweep_order(lib):
     input order, under both serial and process dispatch."""
     micros = (Microarch("NP3", 3), Microarch("NP4", 4))
     clocks = (1600.0, 2400.0)
-    sweep = run_sweep(build_fir, lib, micros, clocks,
-                      options=SEED_OPTIONS, backend="thread")
+    sweep = _seed_sweep(build_fir, lib, micros, clocks)
     points = [(m, c) for m in micros for c in clocks]
     serial = run_points(build_fir, lib, points)
-    process = run_points(build_fir, lib, points, jobs=4,
-                         backend="process")
+    ragged = [(micros[1], 2400.0), (micros[0], 1600.0)]
+    with multicore_host():
+        process = run_points(build_fir, lib, points, jobs=4)
+        b = run_points(build_fir, lib, ragged, jobs=4)
     grid_render = _render(sweep)
     assert sorted(map(repr, serial)) == sorted(grid_render)
     assert list(map(repr, process)) == list(map(repr, serial))
     # ragged: interleaved curves, duplicate-free subset
-    ragged = [(micros[1], 2400.0), (micros[0], 1600.0)]
     a = run_points(build_fir, lib, ragged)
-    b = run_points(build_fir, lib, ragged, jobs=4, backend="process")
     assert [r.clock_ps for r in a] == [2400.0, 1600.0]
     assert list(map(repr, a)) == list(map(repr, b))
 
@@ -170,8 +182,9 @@ def test_tune_winners_identical_serial_vs_process(lib):
         goal = Goal.build(objective="area", delay_ps=10000.0)
         serial = tune(build_fir, lib, goal, space=space,
                       strategy=strategy, jobs=1)
-        parallel = tune(build_fir, lib, goal, space=space,
-                        strategy=strategy, jobs=4)
+        with multicore_host():
+            parallel = tune(build_fir, lib, goal, space=space,
+                            strategy=strategy, jobs=4)
         assert repr(serial.winner) == repr(parallel.winner), strategy
         assert serial.evaluated == parallel.evaluated, strategy
 
